@@ -57,7 +57,6 @@ from repro.evaluation.reporting import (
     series_to_table,
 )
 from repro.evaluation.resilience import run_fault_recall
-from repro.engine import EngineConfig, engine_names, engine_scope
 from repro.faults import parse_fault_plan, plan_scope
 from repro.overlay.registry import overlay_names, overlay_scope, resolve_overlay
 from repro.obs import TraceRecorder, tracing
@@ -656,18 +655,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         "(default: can); for the matrix command this restricts the "
         "sweep to one backend",
     )
-    parser.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help="execution engine for every network the command builds "
-        "(default: serial); 'sharded' fans per-level index work out to "
-        "worker processes over shared memory (see docs/scaling.md)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the sharded engine (default: 2)",
-    )
 
 
 def _json_default(value):
@@ -877,9 +864,7 @@ def _cmd_scale_bench(args) -> int:
     """Run the scale benchmark; print the headline numbers.
 
     Same runner as ``benchmarks/test_scale.py`` (which adds the CI
-    gates); the ``--engine sharded --workers N`` flags route the query
-    phase through the sharded execution engine, parity-checked against
-    the inline oracle before timing.
+    gates).
     """
     from repro.evaluation.scale import run_scale_bench
 
@@ -890,8 +875,6 @@ def _cmd_scale_bench(args) -> int:
             spheres_per_peer=args.spheres_per_peer,
             n_queries=args.queries,
             epsilon=args.epsilon,
-            engine=args.engine or "serial",
-            workers=max(args.workers, 1),
             seed=args.seed,
             baseline_peers=args.baseline_peers,
         )
@@ -914,13 +897,9 @@ def _cmd_scale_bench(args) -> int:
             ["queries/s (index phase)", f"{report['queries_per_s']:.0f}"],
             ["mean peers ranked", f"{report['mean_peers_ranked']:.1f}"],
             ["bulk speedup (vs routed)", f"{report['bulk_speedup']:.1f}x"],
-            ["parity checked / max delta",
-             f"{report['parity']['checked']} / "
-             f"{report['parity']['max_abs_delta']:.2e}"],
             ["peak RSS", f"{report['resources']['peak_rss_mb']:.1f} MiB"],
         ],
-        title=f"scale-bench ({report['engine']} engine, "
-        f"{report['workers']} workers)",
+        title="scale-bench",
     ))
     return 0
 
@@ -967,7 +946,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'report':14s} fused run report: metrics + traces + loadmap")
         print(f"{'serve-bench':14s} batched serving engine: speedup, QPS, "
               "p50/p99 latency")
-        print(f"{'scale-bench':14s} 10^5-peer bulk publish + engine-plane "
+        print(f"{'scale-bench':14s} 10^5-peer bulk publish + index-phase "
               "query throughput")
         return 0
     if getattr(args, "adapt", False):
@@ -996,19 +975,6 @@ def _run_with_faults(args) -> int:
         # Ambient fault plan: every Network the command builds installs
         # a fresh injector from it (see repro.faults.plan_scope).
         with plan_scope(parse_fault_plan(spec)):
-            return _run_with_engine(args)
-    return _run_with_engine(args)
-
-
-def _run_with_engine(args) -> int:
-    name = getattr(args, "engine", None)
-    if name:
-        # Ambient engine: every HyperMNetwork the command builds runs on
-        # this engine (see repro.engine.registry.engine_scope).
-        config = EngineConfig(
-            engine=name, workers=max(getattr(args, "workers", 2), 1)
-        )
-        with engine_scope(config):
             return _dispatch(args)
     return _dispatch(args)
 

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.core.peer import HyperMPeer
 from repro.core.results import ClusterRecord, DisseminationReport
-from repro.engine.registry import active_engine_config, create_engine
 from repro.exceptions import ValidationError
 from repro.net.network import Network
 from repro.obs import flight as obs_flight
@@ -109,27 +108,15 @@ class HyperMNetwork:
         fabric: Network | None = None,
         rng=None,
         overlay_factory=None,
-        engine_config=None,
     ):
         self.config = config or HyperMConfig()
         self.levels: list[Level] = publication_levels(
             dimensionality, self.config.levels_used
         )
         self.dimensionality = int(dimensionality)
-        #: Execution engine (``repro.engine``): explicit argument, else
-        #: the ambient ``--engine`` selection, else serial. The engine
-        #: provides the fabric's scheduler and, when parallel, the
-        #: per-level shard fan-out for the index phase.
-        self.engine = create_engine(
-            engine_config
-            if engine_config is not None
-            else active_engine_config()
-        )
-        self.fabric = (
-            fabric
-            if fabric is not None
-            else Network(scheduler=self.engine.create_scheduler())
-        )
+        self.fabric = fabric if fabric is not None else Network()
+        #: The fabric's clock; run configurations record its class name.
+        self.engine = self.fabric.scheduler
         self._rng = ensure_rng(rng)
         factory = overlay_factory or active_overlay_factory() or CANNetwork
         overlay_rngs = spawn_rngs(self._rng, len(self.levels))
@@ -144,11 +131,6 @@ class HyperMNetwork:
                 zip(self.levels, overlay_rngs)
             )
         }
-        if self.engine.parallel:
-            for index, level in enumerate(self.levels):
-                store = getattr(self.overlays[level], "level_store", None)
-                if store is not None:
-                    self.engine.register_store(index, store)
         self.peers: dict[int, HyperMPeer] = {}
         #: Optional load-adaptation controller (``repro.overlay.adapt``);
         #: installed by :meth:`enable_adaptation` or ambiently by the
@@ -162,15 +144,6 @@ class HyperMNetwork:
         #: each published sphere (by its epoch-state sphere id) lives at.
         #: The delta pipeline patches/retracts these entries in place.
         self._published_entries: dict[tuple[Level, int], dict[int, int]] = {}
-
-    def close(self) -> None:
-        """Release the execution engine (workers + shared memory).
-
-        A no-op for the serial engine; sharded networks should be closed
-        (or used via ``with``-style engine scopes) so worker processes
-        and shm blocks never outlive the experiment.
-        """
-        self.engine.close()
 
     def enable_adaptation(self, config=None) -> AdaptationController:
         """Attach a load-adaptation controller (idempotent per config).

@@ -102,43 +102,6 @@ def _level_query_with_retries(overlay, origin_node, key, radius, injector):
     return None, hops, policy.max_attempts
 
 
-def _premask_levels(network, keys, epsilon: float) -> dict | None:
-    """Fan the per-level intersection masks out to the shard workers.
-
-    Returns ``{level index: mask}`` when the network runs a parallel
-    engine, else ``None`` (the serial path computes masks inline inside
-    each overlay — byte-identical to the pre-engine code). One batched
-    exchange covers every mask-capable level, so the whole index phase
-    costs a single epoch barrier; the masks are consumed by the same
-    flood walk either way, and min-aggregation stays the only join
-    point, running after this barrier.
-
-    Skipped under an active fault injector: the faulted path re-runs
-    level queries with retries, and a premask computed before the
-    retry loop could go stale against mid-query store mutations.
-    """
-    engine = getattr(network, "engine", None)
-    if engine is None or not engine.parallel:
-        return None
-    injector = getattr(network.fabric, "faults", None)
-    if injector is not None and not injector.passthrough:
-        return None
-    tasks = []
-    task_levels = []
-    for index, level in enumerate(network.levels):
-        overlay = network.overlays[level]
-        if not getattr(overlay, "supports_premask", False):
-            continue
-        scaled = epsilon * radius_scale(network.dimensionality, level)
-        radius = key_space_radius(scaled, level)
-        tasks.append((index, keys[level], radius))
-        task_levels.append(index)
-    if not tasks:
-        return None
-    masks = engine.masks(tasks)
-    return dict(zip(task_levels, masks))
-
-
 def index_phase(
     network,
     query: np.ndarray,
@@ -160,12 +123,11 @@ def index_phase(
     injector = getattr(network.fabric, "faults", None)
     with recorder.span("translate", levels=len(network.levels)):
         keys = _query_keys(network, query)
-    premasks = _premask_levels(network, keys, epsilon)
     per_level: dict = {}
     hops = 0
     levels_answered = 0
     index_attempts = 0
-    for index, level in enumerate(network.levels):
+    for level in network.levels:
         overlay = network.overlays[level]
         origin_node = network.overlay_node(level, origin_peer)
         scaled = epsilon * radius_scale(network.dimensionality, level)
@@ -174,15 +136,9 @@ def index_phase(
             f"sphere_filter[{level}]", level=str(level)
         ) as span:
             if injector is None or injector.passthrough:
-                if premasks is not None and index in premasks:
-                    receipt = overlay.range_query(
-                        origin_node, keys[level], radius,
-                        mask=premasks[index],
-                    )
-                else:
-                    receipt = overlay.range_query(
-                        origin_node, keys[level], radius
-                    )
+                receipt = overlay.range_query(
+                    origin_node, keys[level], radius
+                )
                 level_hops, attempts = receipt.total_hops, 1
             else:
                 receipt, level_hops, attempts = _level_query_with_retries(

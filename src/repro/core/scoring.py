@@ -42,7 +42,7 @@ from repro.geometry.batch import (
     spheres_intersect_batch,
 )
 from repro.geometry.intersection import intersection_fraction, spheres_intersect
-from repro.index import CandidateSet, ColumnBlock
+from repro.index import CandidateSet
 
 #: Floor applied to the per-cluster fraction of an *intersecting* cluster so
 #: a tangential touch never zeroes a peer out of the min-aggregation (which
@@ -71,8 +71,6 @@ def _candidate_columns(entries, d: int):
     scored from a stale block.
     """
     if isinstance(entries, CandidateSet):
-        return entries.columns()
-    if isinstance(entries, ColumnBlock):
         return entries.columns()
     n = len(entries)
     keys = np.empty((n, d), dtype=np.float64)

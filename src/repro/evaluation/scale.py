@@ -6,25 +6,20 @@ builds one overlay per published wavelet level as an analytic CAN grid
 (:mod:`repro.overlay.can.bulk` — the closed form of the join protocol's
 uniform-split limit), bulk-publishes synthetic cluster spheres for every
 peer in vectorised passes, then drives a batch of translated range
-queries entirely through the execution-engine plane
-(:mod:`repro.engine`): per-level intersection masks and Eq. 1 scores run
-inline (serial) or on shard workers over shared memory (sharded), and
-min-across-levels aggregation — the paper's only cross-level join point
-— happens once per query after the per-level barrier.
+queries through the index phase: one store-wide intersection mask and
+Eq. 1 scores per level, then min-across-levels aggregation — the
+paper's only cross-level join point — once per query.
 
 Three headline numbers land in ``BENCH_scale.json``:
 
 * ``peers_per_s`` — bulk construction + publication throughput;
-* ``queries_per_s`` — engine-plane index-phase query throughput;
+* ``queries_per_s`` — index-phase query throughput;
 * ``resources.peak_rss_mb`` — the run's memory high-water mark.
 
 Plus one machine-relative ratio CI can gate: ``bulk_speedup``, the
 wall-clock ratio of protocol-grown (routed joins + routed inserts)
 versus bulk (grid + :func:`bulk_publish`) construction at a small equal
-size on the same machine. When the sharded engine is selected, the first
-``parity_queries`` queries are recomputed inline and compared at 1e-9 —
-the sharded path must be an execution strategy, never a different
-answer.
+size on the same machine.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.scoring import aggregate_scores, level_scores
-from repro.engine import EngineConfig, create_engine, gather_block, store_mask
 from repro.exceptions import ValidationError
 from repro.net.network import Network
 from repro.obs import registry as obs_registry
@@ -121,39 +115,17 @@ def _level_radii(dimensionality, levels, epsilon):
     }
 
 
-def _engine_query(engine, levels, keys_by_level, radii):
-    """One index-phase query on the engine plane; returns peer scores."""
-    tasks = [
-        (index, keys_by_level[level], radii[level])
-        for index, level in enumerate(levels)
-    ]
-    per_level = dict(zip(levels, engine.score_levels(tasks)))
-    return aggregate_scores(per_level, policy="min")
-
-
-def _inline_query(stores, levels, keys_by_level, radii):
-    """The serial oracle: same kernels, straight on the parent's columns."""
+def _query(stores, levels, keys_by_level, radii):
+    """One index-phase query over the level stores; returns peer scores."""
     per_level = {}
     for level in levels:
         store = stores[level]
-        mask = store_mask(store, keys_by_level[level], radii[level])
-        block = gather_block(store, mask)
+        mask = store.intersection_mask(keys_by_level[level], radii[level])
+        candidates = store.candidate_set(np.flatnonzero(mask))
         per_level[level] = level_scores(
-            block, keys_by_level[level], radii[level]
+            candidates, keys_by_level[level], radii[level]
         )
     return aggregate_scores(per_level, policy="min")
-
-
-def _score_parity(engine_scores, inline_scores, tolerance=1e-9):
-    """Max |delta| between two peer-score dicts; infinite on set mismatch."""
-    if set(engine_scores) != set(inline_scores):
-        return float("inf")
-    if not engine_scores:
-        return 0.0
-    return max(
-        abs(engine_scores[peer] - inline_scores[peer])
-        for peer in engine_scores
-    )
 
 
 def _routed_baseline_s(dimensionality, n_peers, keys, radii, rng) -> float:
@@ -188,20 +160,15 @@ def run_scale_bench(
     levels_used: int = 3,
     n_queries: int = 32,
     epsilon: float = 0.25,
-    engine: str = "serial",
-    workers: int = 2,
-    shard_by: str = "level",
     seed: int = 0,
     baseline_peers: int = 192,
-    parity_queries: int = 4,
 ) -> dict:
     """Run the scale benchmark; returns the JSON-safe report.
 
     ``baseline_peers`` sizes the routed-versus-bulk construction race
     whose wall-clock ratio (``bulk_speedup``) is the CI-gated field —
     small enough that the quadratic routed arm stays affordable,
-    identical inputs on both arms. ``parity_queries`` queries are
-    double-checked inline when a parallel engine is selected.
+    identical inputs on both arms.
     """
     if n_peers < 1:
         raise ValidationError(f"n_peers must be >= 1, got {n_peers}")
@@ -219,103 +186,65 @@ def run_scale_bench(
     levels = publication_levels(dimensionality, levels_used)
     clock = _clock()
 
-    config = EngineConfig(engine=engine, workers=workers, shard_by=shard_by)
-    engine_obj = create_engine(config)
-    try:
-        fabric = Network(scheduler=engine_obj.create_scheduler())
-        peer_ids, batches = _sphere_batch(
-            levels, n_peers, spheres_per_peer, rng
-        )
-        overlays, plans, build_s, publish_s = _build_and_publish(
-            levels, n_peers, peer_ids, batches, fabric=fabric, rng=rng
-        )
-        stores = {
-            level: overlays[level].level_store for level in levels
-        }
-        for index, level in enumerate(levels):
-            engine_obj.register_store(index, stores[level])
+    fabric = Network()
+    peer_ids, batches = _sphere_batch(levels, n_peers, spheres_per_peer, rng)
+    overlays, plans, build_s, publish_s = _build_and_publish(
+        levels, n_peers, peer_ids, batches, fabric=fabric, rng=rng
+    )
+    stores = {level: overlays[level].level_store for level in levels}
 
-        queries = rng.random((n_queries, dimensionality))
-        translated = _translate_queries(queries, levels)
-        radii = _level_radii(dimensionality, levels, epsilon)
+    queries = rng.random((n_queries, dimensionality))
+    translated = _translate_queries(queries, levels)
+    radii = _level_radii(dimensionality, levels, epsilon)
 
-        # Parity first (outside the timed window): the engine must agree
-        # with the inline oracle before its throughput means anything.
-        parity = {"checked": 0, "max_abs_delta": 0.0}
-        if engine_obj.parallel and parity_queries > 0:
-            worst = 0.0
-            checked = min(parity_queries, n_queries)
-            for keys_by_level in translated[:checked]:
-                delta = _score_parity(
-                    _engine_query(engine_obj, levels, keys_by_level, radii),
-                    _inline_query(stores, levels, keys_by_level, radii),
-                )
-                worst = max(worst, delta)
-            if not worst <= 1e-9:
-                raise ValidationError(
-                    f"sharded scoring diverged from the inline oracle "
-                    f"(max delta {worst})"
-                )
-            parity = {"checked": checked, "max_abs_delta": worst}
+    start = clock()
+    peers_ranked = 0
+    for keys_by_level in translated:
+        peers_ranked += len(_query(stores, levels, keys_by_level, radii))
+    query_s = clock() - start
 
-        start = clock()
-        peers_ranked = 0
-        for keys_by_level in translated:
-            peers_ranked += len(
-                _engine_query(engine_obj, levels, keys_by_level, radii)
-            )
-        query_s = clock() - start
+    small = min(baseline_peers, n_peers)
+    base_dim = levels[-1].dimensionality
+    base_keys = rng.random((small * spheres_per_peer, base_dim))
+    base_radii = 0.05 * rng.random(small * spheres_per_peer)
+    routed_s = _routed_baseline_s(
+        base_dim, small, base_keys, base_radii,
+        ensure_rng(int(rng.integers(2**63))),
+    )
+    bulk_s = _bulk_baseline_s(
+        base_dim, small, base_keys, base_radii,
+        ensure_rng(int(rng.integers(2**63))),
+    )
 
-        small = min(baseline_peers, n_peers)
-        base_dim = levels[-1].dimensionality
-        base_keys = rng.random((small * spheres_per_peer, base_dim))
-        base_radii = 0.05 * rng.random(small * spheres_per_peer)
-        routed_s = _routed_baseline_s(
-            base_dim, small, base_keys, base_radii,
-            ensure_rng(int(rng.integers(2**63))),
-        )
-        bulk_s = _bulk_baseline_s(
-            base_dim, small, base_keys, base_radii,
-            ensure_rng(int(rng.integers(2**63))),
-        )
-
-        n_spheres = n_peers * spheres_per_peer * len(levels)
-        report = {
-            "benchmark": "scale",
-            "n_peers": n_peers,
-            "spheres_per_peer": spheres_per_peer,
-            "dimensionality": dimensionality,
-            "levels_used": levels_used,
-            "n_queries": n_queries,
-            "epsilon": float(epsilon),
-            "seed": seed,
-            "engine": engine_obj.name,
-            "workers": config.workers,
-            "shard_by": config.shard_by,
-            "grid": {
-                str(level): list(plans[level].counts) for level in levels
-            },
-            "build_s": build_s,
-            "publish_s": publish_s,
-            "peers_per_s": n_peers / max(build_s + publish_s, 1e-12),
-            "spheres_published": n_spheres,
-            "spheres_per_s": n_spheres / max(publish_s, 1e-12),
-            "query_s": query_s,
-            "queries_per_s": n_queries / max(query_s, 1e-12),
-            "mean_peers_ranked": peers_ranked / n_queries,
-            "baseline_peers": small,
-            "routed_small_s": routed_s,
-            "bulk_small_s": bulk_s,
-            "bulk_speedup": routed_s / max(bulk_s, 1e-12),
-            "parity": parity,
-            "fabric": {
-                "messages": fabric.metrics.total_messages,
-                "bytes": fabric.metrics.total_bytes,
-                "energy": fabric.energy.total,
-            },
-            "engine_snapshot": engine_obj.snapshot(),
-            "resources": rss_snapshot(),
-        }
-        return report
-    finally:
-        engine_obj.close()
+    n_spheres = n_peers * spheres_per_peer * len(levels)
+    return {
+        "benchmark": "scale",
+        "n_peers": n_peers,
+        "spheres_per_peer": spheres_per_peer,
+        "dimensionality": dimensionality,
+        "levels_used": levels_used,
+        "n_queries": n_queries,
+        "epsilon": float(epsilon),
+        "seed": seed,
+        "grid": {
+            str(level): list(plans[level].counts) for level in levels
+        },
+        "build_s": build_s,
+        "publish_s": publish_s,
+        "peers_per_s": n_peers / max(build_s + publish_s, 1e-12),
+        "spheres_published": n_spheres,
+        "spheres_per_s": n_spheres / max(publish_s, 1e-12),
+        "query_s": query_s,
+        "queries_per_s": n_queries / max(query_s, 1e-12),
+        "mean_peers_ranked": peers_ranked / n_queries,
+        "baseline_peers": small,
+        "routed_small_s": routed_s,
+        "bulk_small_s": bulk_s,
+        "bulk_speedup": routed_s / max(bulk_s, 1e-12),
+        "fabric": {
+            "messages": fabric.metrics.total_messages,
+            "bytes": fabric.metrics.total_bytes,
+            "energy": fabric.energy.total,
+        },
+        "resources": rss_snapshot(),
+    }

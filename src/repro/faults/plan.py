@@ -9,9 +9,18 @@ same fault sequence (see :class:`repro.faults.injector.FaultInjector`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ValidationError
+
+
+def _check_finite(obj, names) -> None:
+    """Reject NaN and infinite values among ``obj``'s named fields."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,7 @@ class RetryPolicy:
     max_timeout: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("base_timeout", "backoff", "max_timeout"))
         if self.max_attempts < 1:
             raise ValidationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -138,6 +148,10 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "partitions", tuple(self.partitions))
+        _check_finite(self, (
+            "loss", "delay_jitter", "duplication", "crash_fraction", "seed",
+            "max_link_retransmits",
+        ))
         for name in ("loss", "duplication"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
@@ -203,6 +217,10 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 raise ValidationError(
                     f"fault-plan value for {key!r} is not a number: {raw!r}"
                 ) from None
+            if not math.isfinite(values[key]):
+                raise ValidationError(
+                    f"fault-plan value for {key!r} must be finite: {raw!r}"
+                )
     known = {"loss", "delay", "dup", "crash", "seed", "retries"}
     unknown = sorted(set(values) - known)
     if unknown:

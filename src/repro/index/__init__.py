@@ -9,18 +9,14 @@ without re-stacking. See ``docs/architecture.md`` for the design.
 
 from repro.index.store import (
     CandidateSet,
-    ColumnBlock,
     LevelStore,
     NodeMembership,
     StoredEntryView,
-    intersection_mask_columns,
 )
 
 __all__ = [
     "CandidateSet",
-    "ColumnBlock",
     "LevelStore",
     "NodeMembership",
     "StoredEntryView",
-    "intersection_mask_columns",
 ]

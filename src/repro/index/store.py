@@ -29,8 +29,6 @@ replaces that layout with one shared, versioned store per overlay level:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -40,69 +38,6 @@ from repro.geometry.intersection import spheres_intersect
 
 #: Initial column capacity (rows) of an empty store.
 _INITIAL_CAPACITY = 64
-
-#: Width of the exact re-resolution band around sphere boundaries (see
-#: :meth:`LevelStore.intersection_mask`); module-level so the extracted
-#: :func:`intersection_mask_columns` kernel and the store share one value.
-_BOUNDARY_BAND = 1e-5
-
-
-@dataclass(frozen=True)
-class ColumnBlock:
-    """A raw ``(keys, radii, items, peer_ids, key_sq)`` scoring block.
-
-    The process-boundary twin of :meth:`CandidateSet.columns`: engine
-    workers gather these arrays straight out of the shared-memory
-    columns and hand them to :func:`repro.core.scoring.level_scores`,
-    which scores them exactly as it scores a candidate set — same
-    arrays, same kernel, bit-identical floats.
-    """
-
-    keys: np.ndarray
-    radii: np.ndarray
-    items: np.ndarray
-    peer_ids: np.ndarray
-    key_sq: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.keys.shape[0])
-
-    def columns(self):
-        """``(keys, radii, items, peer_ids, key_sq)`` — scoring order."""
-        return self.keys, self.radii, self.items, self.peer_ids, self.key_sq
-
-
-def intersection_mask_columns(
-    keys: np.ndarray,
-    key_sq: np.ndarray,
-    radii: np.ndarray,
-    live: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-) -> np.ndarray:
-    """Per-row intersection mask over raw column slices.
-
-    The computational core of :meth:`LevelStore.intersection_mask`,
-    extracted so engine workers can run it against shared-memory column
-    views without holding a :class:`LevelStore`. The columns must
-    already be sliced to the row range under test; the caller guarantees
-    they come from one consistent generation.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    if keys.shape[0] == 0:
-        return np.empty(0, dtype=bool)
-    d2 = key_sq - 2.0 * (keys @ center)
-    d2 += float(center @ center)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
-    boundary = radii + float(radius)
-    near = np.abs(dist - boundary) <= _BOUNDARY_BAND
-    if near.any():
-        diff = keys[near] - center
-        dist[near] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    mask = spheres_intersect_batch(radii, float(radius), dist)
-    mask &= live
-    return mask
 
 #: Compaction triggers when tombstones exceed this fraction of used rows…
 _COMPACT_FRACTION = 0.25
@@ -448,10 +383,6 @@ class LevelStore:
         self._values: list = []
         self._row_by_id: dict[int, int] = {}
         self._memberships: weakref.WeakSet[NodeMembership] = weakref.WeakSet()
-        self._shared = False
-        self._shm_blocks: dict[str, shared_memory.SharedMemory] = {}
-        self._shm_orphans: list[shared_memory.SharedMemory] = []
-        self._shm_epoch = 0
 
     # -- introspection -------------------------------------------------------
 
@@ -516,149 +447,25 @@ class LevelStore:
 
     # -- mutation ------------------------------------------------------------
 
-    #: Columns engine workers read zero-copy; when the store is shared
-    #: these (and only these) live in ``multiprocessing.shared_memory``.
-    _SHM_COLUMNS = ("_keys", "_key_sq", "_radii", "_items", "_peer_ids",
-                    "_live")
-
-    #: Every growable column: ``name -> (dtype, zero_fill)``. ``_keys``
-    #: is the one 2-D column; ``_live`` must zero-fill past the prefix.
-    _COLUMN_SPECS = {
-        "_keys": (np.float64, False),
-        "_key_sq": (np.float64, False),
-        "_radii": (np.float64, False),
-        "_items": (np.float64, False),
-        "_peer_ids": (np.int64, False),
-        "_entry_ids": (np.int64, False),
-        "_refcounts": (np.int64, False),
-        "_heat": (np.int64, False),
-        "_live": (bool, True),
-    }
-
-    def _alloc_array(self, name: str, shape, dtype):
-        """Allocate one column: private ``np.empty`` or a shm block."""
-        if not (self._shared and name in self._SHM_COLUMNS):
-            return np.empty(shape, dtype=dtype), None
-        nbytes = max(int(np.prod(shape)) * np.dtype(dtype).itemsize, 1)
-        block = shared_memory.SharedMemory(create=True, size=nbytes)
-        return np.ndarray(shape, dtype=dtype, buffer=block.buf), block
-
-    def _release_blocks(self, blocks) -> None:
-        """Unlink + close shm blocks; defer closes blocked by exports.
-
-        A live zero-copy view (e.g. a :class:`CandidateSet` contiguous
-        slice) keeps a buffer export open, making ``close`` raise
-        ``BufferError``; such blocks park in an orphan list retried on
-        the next release. Unlinking first is always safe on Linux — the
-        segment persists until every mapping closes.
-        """
-        pending = [b for b in blocks if b is not None] + self._shm_orphans
-        self._shm_orphans = []
-        for block in pending:
-            try:
-                block.unlink()
-            except FileNotFoundError:
-                pass
-            try:
-                block.close()
-            except BufferError:
-                self._shm_orphans.append(block)
-
     def _grow_to(self, capacity: int) -> None:
         new_cap = max(self._capacity * 2, _INITIAL_CAPACITY)
         while new_cap < capacity:
             new_cap *= 2
-        released = []
-        for name, (dtype, zero_fill) in self._COLUMN_SPECS.items():
-            shape = (new_cap, self._dim) if name == "_keys" else (new_cap,)
-            col, block = self._alloc_array(name, shape, dtype)
-            if zero_fill:
-                col[:] = False
+        keys = np.empty((new_cap, self._dim), dtype=np.float64)
+        keys[: self._size] = self._keys[: self._size]
+        self._keys = keys
+        for name in ("_key_sq", "_radii", "_items"):
+            col = np.empty(new_cap, dtype=np.float64)
             col[: self._size] = getattr(self, name)[: self._size]
             setattr(self, name, col)
-            if block is not None:
-                released.append(self._shm_blocks.pop(name, None))
-                self._shm_blocks[name] = block
+        for name in ("_peer_ids", "_entry_ids", "_refcounts", "_heat"):
+            col = np.empty(new_cap, dtype=np.int64)
+            col[: self._size] = getattr(self, name)[: self._size]
+            setattr(self, name, col)
+        live = np.zeros(new_cap, dtype=bool)
+        live[: self._size] = self._live[: self._size]
+        self._live = live
         self._capacity = new_cap
-        if self._shared:
-            self._shm_epoch += 1
-            self._release_blocks(released)
-
-    # -- shared-memory backing ----------------------------------------------
-
-    @property
-    def is_shared(self) -> bool:
-        """True when the worker-visible columns live in shared memory."""
-        return self._shared
-
-    @property
-    def shm_epoch(self) -> int:
-        """Bumped whenever the shm blocks are (re)allocated.
-
-        Engine parents compare this against what each worker last
-        attached and resend the manifest on mismatch — reallocation
-        (growth) is the only event that invalidates an attachment;
-        ordinary mutations are covered by :attr:`generation` alone.
-        """
-        return self._shm_epoch
-
-    def share_columns(self) -> dict:
-        """Migrate the worker-visible columns into shared memory.
-
-        Idempotent; returns the current :meth:`shm_manifest`. After
-        this, every growth reallocates into fresh shm blocks and bumps
-        :attr:`shm_epoch`. The payload list (``_values``) never crosses
-        the process boundary — workers score columns, not payloads.
-        """
-        if not self._shared:
-            self._shared = True
-            self._shm_epoch += 1
-            for name in self._SHM_COLUMNS:
-                old = getattr(self, name)
-                col, block = self._alloc_array(name, old.shape, old.dtype)
-                if block is None:  # zero-capacity store: nothing to map
-                    continue
-                col[:] = old
-                setattr(self, name, col)
-                self._shm_blocks[name] = block
-        return self.shm_manifest()
-
-    def shm_manifest(self) -> dict:
-        """Name/shape/dtype of each shm column block, for worker attach."""
-        if not self._shared:
-            raise ValidationError("store is not shared; no shm manifest")
-        return {
-            "epoch": self._shm_epoch,
-            "capacity": self._capacity,
-            "dim": self._dim,
-            "columns": {
-                name: (
-                    self._shm_blocks[name].name,
-                    tuple(getattr(self, name).shape),
-                    getattr(self, name).dtype.str,
-                )
-                for name in self._SHM_COLUMNS
-                if name in self._shm_blocks
-            },
-        }
-
-    def release_shared(self) -> None:
-        """Copy columns back to private arrays and free the shm blocks."""
-        if not self._shared:
-            return
-        for name in self._SHM_COLUMNS:
-            setattr(self, name, np.array(getattr(self, name), copy=True))
-        blocks = [self._shm_blocks.pop(name)
-                  for name in list(self._shm_blocks)]
-        self._shared = False
-        self._shm_epoch += 1
-        self._release_blocks(blocks)
-
-    def __del__(self):  # pragma: no cover - interpreter-exit path
-        try:
-            self.release_shared()
-        except Exception:
-            pass
 
     def add(self, key: np.ndarray, radius: float, value: object) -> int:
         """Append one entry; returns its row index.
@@ -777,17 +584,6 @@ class LevelStore:
         self._next_entry_id += n
         self.generation += 1
         return rows
-
-    def column_block(self, rows: np.ndarray) -> ColumnBlock:
-        """Gather a scoring :class:`ColumnBlock` for the given rows."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return ColumnBlock(
-            keys=self._keys[rows],
-            radii=self._radii[rows],
-            items=self._items[rows],
-            peer_ids=self._peer_ids[rows],
-            key_sq=self._key_sq[rows],
-        )
 
     def _incref(self, row: int) -> None:
         if not self._live[row]:
@@ -1043,7 +839,7 @@ class LevelStore:
     #: exactly: the BLAS expansion ``k·k − 2k·c + c·c`` loses ~sqrt(eps·d)
     #: absolute accuracy to cancellation (an exact-match point lookup gives
     #: ~1e-8 instead of 0), far coarser than the 1e-12 INTERSECTION_SLACK.
-    _BOUNDARY_BAND = _BOUNDARY_BAND
+    _BOUNDARY_BAND = 1e-5
 
     def intersecting_rows(
         self, rows: np.ndarray, center: np.ndarray, radius: float
@@ -1088,16 +884,24 @@ class LevelStore:
         :meth:`intersecting_rows`, so the two filters always agree.
         """
         size = self._size
+        center = np.asarray(center, dtype=np.float64)
         if size == 0:
             return np.empty(0, dtype=bool)
-        return intersection_mask_columns(
-            self._keys[:size],
-            self._key_sq[:size],
-            self._radii[:size],
-            self._live[:size],
-            center,
-            radius,
+        keys = self._keys[:size]
+        d2 = self._key_sq[:size] - 2.0 * (keys @ center)
+        d2 += float(center @ center)
+        np.maximum(d2, 0.0, out=d2)
+        dist = np.sqrt(d2)
+        boundary = self._radii[:size] + float(radius)
+        near = np.abs(dist - boundary) <= self._BOUNDARY_BAND
+        if near.any():
+            diff = keys[near] - center
+            dist[near] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        mask = spheres_intersect_batch(
+            self._radii[:size], float(radius), dist
         )
+        mask &= self._live[:size]
+        return mask
 
     def intersection_masks(
         self, centers: np.ndarray, radii: np.ndarray

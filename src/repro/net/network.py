@@ -22,6 +22,7 @@ from repro.net.node import SimNode
 from repro.obs import flight as obs_flight
 from repro.obs import trace as obs_trace
 from repro.obs.loadmap import LoadLedger
+from repro.utils.validation import check_positive
 
 
 class Network:
@@ -46,14 +47,9 @@ class Network:
         energy_model: EnergyModel | None = None,
         hop_latency: float = 0.01,
         fault_plan=None,
-        scheduler=None,
     ):
-        if hop_latency < 0:
-            raise ValidationError(f"hop_latency must be >= 0, got {hop_latency}")
-        #: The fabric clock. An execution engine may inject its own
-        #: scheduler (``repro.engine``); the default is the serial one,
-        #: byte-identical to the pre-engine behaviour.
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
+        check_positive(hop_latency, "hop_latency", strict=False)
+        self.scheduler = Scheduler()
         self.energy = EnergyLedger(model=energy_model or EnergyModel())
         self.metrics = NetworkMetrics()
         self.load = LoadLedger()

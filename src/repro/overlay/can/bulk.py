@@ -27,9 +27,9 @@ only — the per-insert replication to every overlapped zone
 (:mod:`repro.overlay.can.replication`) is intentionally skipped, because
 at scale-bench sizes it is the dominant cost and the scale query plane
 never depends on it: scale queries score through the *store-wide*
-intersection mask (:meth:`LevelStore.intersection_mask`, or its sharded
-twin via ``repro.engine``), whose completeness is a property of the
-columnar store, not of per-node memberships. Flood-walk queries over a
+intersection mask (:meth:`LevelStore.intersection_mask`), whose
+completeness is a property of the columnar store, not of per-node
+memberships. Flood-walk queries over a
 bulk-built overlay remain correct for every sphere contained in a
 visited zone but may miss boundary-overlapping spheres a replicated
 build would have surfaced; experiments that measure recall through the

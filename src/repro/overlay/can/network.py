@@ -522,12 +522,8 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             entries=entries, routing_hops=len(path), nodes_visited=[owner_id]
         )
 
-    #: Engines may hand this overlay a precomputed store-wide mask.
-    supports_premask = True
-
     def range_query(
-        self, origin: int, center: np.ndarray, radius: float,
-        *, mask: np.ndarray | None = None,
+        self, origin: int, center: np.ndarray, radius: float
     ) -> RangeReceipt:
         """All entries whose spheres intersect the query ball.
 
@@ -536,12 +532,6 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         convex, hence connected in the neighbour graph, so flooding is
         complete. Request hops are charged; response traffic is not modelled
         (results are evaluated by precision/recall, matching the paper).
-
-        ``mask`` optionally supplies the store-wide intersection mask —
-        the BLAS-heavy half of the query — computed elsewhere (a sharded
-        engine worker runs the *same* kernel over the same shm columns,
-        so the flood below consumes bit-identical bits). It must come
-        from the store's current generation.
         """
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
@@ -561,8 +551,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
 
             # One store-wide intersection pass per query; each visited node
             # then filters its membership with a boolean gather.
-            if mask is None:
-                mask = self.level_store.intersection_mask(center, radius)
+            mask = self.level_store.intersection_mask(center, radius)
             row_arrays: list[np.ndarray] = []
             visited = {owner_id}
             order = [owner_id]

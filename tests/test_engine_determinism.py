@@ -1,9 +1,7 @@
-"""Pin the event-ordering semantics the engine refactor must preserve.
+"""Pin the event-ordering semantics of the simulator's clock.
 
-The scheduler extraction (``repro.net.events`` -> ``repro.engine``) is
-only safe if today's ordering contract is written down first.  Three
-families of guarantees are pinned here, all against the *public* import
-path so they hold verbatim before and after the move:
+Three families of guarantees are pinned here, all against the public
+import path ``repro.net.events``:
 
 * **Same-tick tie-breaking** — events scheduled for the same simulated
   time fire in scheduling order (the ``(time, seq)`` heap key), even

@@ -46,11 +46,24 @@ class TestFaultPlan:
             {"duplication": -0.2},
             {"crash_fraction": 2.0},
             {"delay_jitter": -1.0},
+            {"delay_jitter": float("nan")},
+            {"delay_jitter": float("inf")},
+            {"loss": float("nan")},
+            {"seed": float("nan")},
+            {"max_link_retransmits": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             FaultPlan(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["base_timeout", "backoff", "max_timeout"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_retry_policy_rejects_non_finite(self, field, value):
+        with pytest.raises(ValidationError):
+            RetryPolicy(**{field: value})
 
     def test_retry_policy_backoff_caps(self):
         policy = RetryPolicy(
@@ -89,6 +102,14 @@ class TestFaultPlan:
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValidationError):
             parse_fault_plan("loss")
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["delay=inf", "delay=nan", "seed=nan", "retries=nan", "loss=-inf"],
+    )
+    def test_parse_rejects_non_finite(self, spec):
+        with pytest.raises(ValidationError):
+            parse_fault_plan(spec)
 
 
 class TestInjectorDeterminism:

@@ -86,6 +86,35 @@ class TestScheduler:
         with pytest.raises(ValidationError):
             Scheduler().schedule_after(-1.0, lambda: None)
 
+    def test_max_events_zero_runs_nothing(self):
+        sched = Scheduler()
+        fired = []
+        sched.schedule_at(1.0, lambda: fired.append(1))
+        sched.schedule_at(2.0, lambda: fired.append(2))
+        assert sched.run(max_events=0) == 0
+        assert fired == []
+        assert sched.now == 0.0
+        assert len(sched) == 2
+
+    def test_negative_max_events_rejected(self):
+        sched = Scheduler()
+        sched.schedule_at(1.0, lambda: None)
+        with pytest.raises(ValidationError):
+            sched.run(max_events=-3)
+        assert sched.now == 0.0
+        assert len(sched) == 1
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        sched = Scheduler()
+        with pytest.raises(ValidationError):
+            sched.schedule_at(time, lambda: None)
+        with pytest.raises(ValidationError):
+            sched.schedule_after(time, lambda: None)
+        with pytest.raises(ValidationError):
+            sched.run_until(time)
+        assert sched.now == 0.0
+
     def test_len_counts_pending(self):
         sched = Scheduler()
         e1 = sched.schedule_after(1.0, lambda: None)

@@ -102,6 +102,13 @@ class TestNetworkFabric:
         with pytest.raises(ValidationError):
             net.transmit(99, 1, MessageKind.DATA, 10)
 
+    @pytest.mark.parametrize(
+        "latency", [-0.1, float("nan"), float("inf")]
+    )
+    def test_bad_hop_latency_rejected(self, latency):
+        with pytest.raises(ValidationError):
+            Network(hop_latency=latency)
+
     def test_scheduled_delivery(self):
         net = Network(hop_latency=0.5)
         net.register(SimNode(1))
