@@ -8,7 +8,11 @@ fixed seed this records
   they report — all bit-identical;
 * seeded ``range_query`` / ``knn_query`` answers through
   :class:`repro.core.network.HyperMNetwork`: retrieved item sets exactly,
-  peer scores to 1e-9, and the query traffic they cost.
+  peer scores to 1e-9, and the query traffic they cost;
+* the adapted arm of :func:`repro.evaluation.adaptation.run_adaptation`:
+  JOIN / INSERT / REPLICATE / RANGE_QUERY hop and byte totals and the
+  controller's decision counts bit-identical, zone-bytes Gini to 1e-12.
+  This covers the route-penalty tie-break and ``rebalance_zone``.
 
 A change to the execution plumbing (scheduler, stores, query pipeline)
 must leave every value here untouched. To inspect the current values,
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import HyperMConfig
-from repro.evaluation import dissemination
+from repro.evaluation import adaptation, dissemination
 from repro.evaluation.workloads import build_markov_network
 from repro.net.messages import MessageKind
 
@@ -29,10 +33,10 @@ SEED = 0
 KINDS = (MessageKind.INSERT, MessageKind.REPLICATE, MessageKind.RANGE_QUERY)
 
 
-def _traffic(fabric) -> dict:
+def _traffic(fabric, kinds=KINDS) -> dict:
     """``{kind: [hops, bytes]}`` for the pinned message kinds."""
     out = {}
-    for kind in KINDS:
+    for kind in kinds:
         bucket = fabric.metrics.by_kind.get(kind)
         out[kind.value] = [bucket.hops, bucket.bytes] if bucket else [0, 0]
     return out
@@ -113,6 +117,33 @@ def observe_queries() -> dict:
         "range": range_answers,
         "knn": knn_answers,
         "traffic": _traffic(network.fabric),
+    }
+
+
+def observe_adaptation() -> dict:
+    """Traffic, decisions and zone Gini of the adapted arm."""
+    networks = []
+
+    def recording_build(**build_kwargs):
+        workload, report = build_markov_network(**build_kwargs)
+        networks.append(workload.network)
+        return workload, report
+
+    original = adaptation.build_markov_network
+    adaptation.build_markov_network = recording_build
+    try:
+        __, adapted = adaptation.run_adaptation(
+            n_peers=15, items_per_peer=100, rng=SEED
+        )
+    finally:
+        adaptation.build_markov_network = original
+    network = networks[-1]
+    return {
+        "traffic": _traffic(
+            network.fabric, (MessageKind.JOIN, *KINDS)
+        ),
+        "decisions": network.adaptation.snapshot()["decisions"],
+        "zone_gini": adapted.zone_gini,
     }
 
 
@@ -269,7 +300,13 @@ GOLDEN: dict = (
                           'index_hops': 29}],
                  'traffic': {'insert': [379, 21840],
                              'replicate': [249, 14640],
-                             'range_query': [154, 7656]}}}
+                             'range_query': [154, 7656]}},
+     'adaptation': {'traffic': {'join': [78, 3144],
+                                'insert': [830, 47752],
+                                'replicate': [608, 37856],
+                                'range_query': [937, 46864]},
+                    'decisions': {'split': 12, 'boost': 72, 'shed': 0},
+                    'zone_gini': 0.35907700737643666}}
 )
 
 
@@ -282,6 +319,16 @@ def test_figure8_traffic_is_bit_identical(figure):
 @pytest.fixture(scope="module")
 def queries():
     return observe_queries()
+
+
+def test_adaptation_is_bit_identical():
+    observed = observe_adaptation()
+    golden = GOLDEN["adaptation"]
+    assert observed["traffic"] == golden["traffic"]
+    assert observed["decisions"] == golden["decisions"]
+    assert observed["zone_gini"] == pytest.approx(
+        golden["zone_gini"], rel=0, abs=1e-12
+    )
 
 
 def _assert_answers(observed, golden):
@@ -318,6 +365,7 @@ if __name__ == "__main__":  # pragma: no cover - prints the golden values
             "fig8b": observe_fig8b(),
             "fig8c": observe_fig8c(),
             "queries": observe_queries(),
+            "adaptation": observe_adaptation(),
         },
         width=75,
         compact=True,
