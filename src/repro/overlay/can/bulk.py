@@ -147,6 +147,7 @@ def build_grid_can(
         can.fabric.register(node)
         nodes.append(node)
     can._next_id = node_id_offset + n_cells
+    can.zone_table.assign(node_id_offset + np.arange(n_cells), lows, highs)
 
     # Grid adjacency: ±1 (mod counts) in exactly one dimension. Each
     # +1 edge covers the matching -1 edge of its other endpoint;

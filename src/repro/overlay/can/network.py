@@ -24,6 +24,7 @@ from repro.overlay.base import (
 )
 from repro.overlay.can.node import CANNode
 from repro.overlay.can.routing import route_to_owner
+from repro.overlay.can.table import ZoneTable
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.utils.rng import ensure_rng
@@ -77,6 +78,8 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         self._rng = ensure_rng(rng)
         self._nodes: dict[int, CANNode] = {}
         self._next_id = int(node_id_offset)
+        #: Every node's zones as columns: one geometry pass per walk.
+        self.zone_table = ZoneTable(self._dim, first_id=node_id_offset)
         #: The shared columnar index for this overlay (one per level).
         self.level_store = LevelStore(self._dim)
         #: Optional ``node_id -> float`` quality penalty installed by the
@@ -129,6 +132,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         self._next_id += 1
         if not self._nodes:
             node = CANNode(node_id, Zone.full(self._dim))
+            self.zone_table.append(node_id, node.zone)
             node.attach_store(self.level_store)
             self._nodes[node_id] = node
             self.fabric.register(node)
@@ -158,14 +162,18 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             remaining = [z for z in owner.zones if z is not taken]
             new_node = CANNode(node_id, taken)
             owner.set_zones(remaining)
+            self.zone_table.replace(owner_id, taken, node_id, taken)
         else:
-            lower, upper = owner.zone.split()
+            old_zone = owner.zone
+            lower, upper = old_zone.split()
             if upper.contains(point):
                 new_zone, owner_zone = upper, lower
             else:
                 new_zone, owner_zone = lower, upper
             new_node = CANNode(node_id, new_zone)
             owner.set_zone(owner_zone)
+            self.zone_table.replace(owner_id, old_zone, owner_id, owner_zone)
+            self.zone_table.append(node_id, new_zone)
         new_node.attach_store(self.level_store)
         self._nodes[node_id] = new_node
         self.fabric.register(new_node)
@@ -228,7 +236,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
            owning multiple zones until a future join defragments it — the
            behaviour the original CAN paper specifies.
 
-        Neighbour tables are rebuilt afterwards.
+        Neighbour tables and the zone table are rebuilt afterwards.
         """
         leaving = self.node(node_id)
         del self._nodes[node_id]
@@ -236,6 +244,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             # Last node took the whole key space (and every entry) with it.
             leaving.membership.clear()
             self.level_store.maybe_compact()
+            self.zone_table.rebuild(())
             return
 
         for zone in leaving.zones:
@@ -331,8 +340,9 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         return best
 
     def _rebuild_all_neighbors(self) -> None:
-        """Recompute every neighbour table from zone geometry."""
+        """Recompute every neighbour table and the zone table from zones."""
         nodes = list(self._nodes.values())
+        self.zone_table.rebuild(nodes)
         for node in nodes:
             node.neighbors = {}
         for i, a in enumerate(nodes):
@@ -432,13 +442,17 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
 
     def owner_of(self, point: np.ndarray) -> int:
         """Id of the node whose zone contains ``point`` (global-view scan)."""
-        point = check_vector(point, "point", dim=self._dim)
+        point = check_unit_cube(
+            check_vector(point, "point", dim=self._dim), "point"
+        )
         if not self._nodes:
             raise EmptyNetworkError("overlay has no nodes")
-        for node in self._nodes.values():
-            if node.contains(point):
-                return node.node_id
-        raise OverlayError(f"no zone contains {point!r}; zones do not tile?")
+        owner = self.zone_table.owner_of(point)
+        if owner is None:
+            raise OverlayError(
+                f"no zone contains {point!r}; zones do not tile?"
+            )
+        return owner
 
     def insert(
         self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
@@ -506,7 +520,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
 
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
         """Point query: entries at the owner of ``key`` whose spheres contain it."""
-        key = check_vector(key, "key", dim=self._dim)
+        key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
         with obs_flight.state.recorder.operation("lookup", origin=origin):
             owner_id, path = route_to_owner(
                 self, origin, key, penalty=self.route_penalty
@@ -533,7 +547,9 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         complete. Request hops are charged; response traffic is not modelled
         (results are evaluated by precision/recall, matching the paper).
         """
-        center = check_vector(center, "center", dim=self._dim)
+        center = check_unit_cube(
+            check_vector(center, "center", dim=self._dim), "center"
+        )
         check_positive(radius, "radius", strict=False)
         with obs_flight.state.recorder.operation(
             "range_query", origin=origin
@@ -549,9 +565,12 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
                 )
                 prev = hop_id
 
-            # One store-wide intersection pass per query; each visited node
-            # then filters its membership with a boolean gather.
+            # One store-wide intersection pass and one zone-table pass per
+            # query; each visited node then filters its membership with a
+            # boolean gather, and the flood reads the per-node zone hits.
             mask = self.level_store.intersection_mask(center, radius)
+            hits = self.zone_table.sphere_hits(center, radius)
+            first = self.zone_table.first_id
             row_arrays: list[np.ndarray] = []
             visited = {owner_id}
             order = [owner_id]
@@ -561,12 +580,8 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
                 current_id = queue.popleft()
                 current = self.node(current_id)
                 row_arrays.append(current.rows_matching(mask))
-                for neighbor_id, zones in current.neighbors.items():
-                    if neighbor_id in visited:
-                        continue
-                    if not any(
-                        z.intersects_sphere(center, radius) for z in zones
-                    ):
+                for neighbor_id in current.neighbors:
+                    if neighbor_id in visited or not hits[neighbor_id - first]:
                         continue
                     visited.add(neighbor_id)
                     order.append(neighbor_id)

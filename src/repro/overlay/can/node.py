@@ -56,19 +56,11 @@ class CANNode(SimNode, StoreBackedNode):
         """Total key-space volume owned."""
         return sum(zone.volume for zone in self.zones)
 
-    def contains(self, point: np.ndarray) -> bool:
-        """True when any owned zone contains ``point``."""
-        return any(zone.contains(point) for zone in self.zones)
-
     def intersects_sphere(self, center: np.ndarray, radius: float) -> bool:
         """True when any owned zone meets the Euclidean ball."""
         return any(
             zone.intersects_sphere(center, radius) for zone in self.zones
         )
-
-    def torus_distance_to(self, point: np.ndarray) -> float:
-        """Min torus distance from any owned zone to ``point``."""
-        return min(zone.torus_distance_to(point) for zone in self.zones)
 
     # -- neighbour maintenance ----------------------------------------------
 

@@ -16,6 +16,37 @@ from repro.net.messages import MessageKind, vector_message_size
 from repro.obs import trace as obs_trace
 
 
+def _spread(network, row: int, holder_ids) -> list[int]:
+    """Breadth-first REPLICATE walk from ``holder_ids`` over sphere-hit nodes.
+
+    One zone-table pass marks every node whose zones meet the row's
+    sphere; the walk then crosses only marked neighbours, charging one
+    ``REPLICATE`` message and adding the store row per newly reached
+    node. Returns those nodes in BFS order.
+    """
+    store = network.level_store
+    key = store.key_of(row)
+    table = network.zone_table
+    hits = table.sphere_hits(key, store.radius_of(row))
+    first = table.first_id
+    fabric = network.fabric
+    size = vector_message_size(key.shape[0], scalars=2)
+    visited = set(holder_ids)
+    added: list[int] = []
+    queue = deque(visited)
+    while queue:
+        current_id = queue.popleft()
+        for neighbor_id in network.node(current_id).neighbors:
+            if neighbor_id in visited or not hits[neighbor_id - first]:
+                continue
+            visited.add(neighbor_id)
+            fabric.transmit(current_id, neighbor_id, MessageKind.REPLICATE, size)
+            network.node(neighbor_id).add_row(row)
+            added.append(neighbor_id)
+            queue.append(neighbor_id)
+    return added
+
+
 def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
     """Propagate a stored row from its owner to all zone-overlapping nodes.
 
@@ -26,29 +57,7 @@ def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
     Returns the replica node ids (owner excluded); one ``REPLICATE`` hop is
     charged per replica.
     """
-    store = network.level_store
-    key = store.key_of(row)
-    radius = store.radius_of(row)
-    fabric = network.fabric
-    size = vector_message_size(key.shape[0], scalars=2)
-    visited = {owner_id}
-    replicas: list[int] = []
-    queue = deque([owner_id])
-    while queue:
-        current_id = queue.popleft()
-        current = network.node(current_id)
-        for neighbor_id, zones in current.neighbors.items():
-            if neighbor_id in visited:
-                continue
-            if not any(
-                z.intersects_sphere(key, radius) for z in zones
-            ):
-                continue
-            visited.add(neighbor_id)
-            fabric.transmit(current_id, neighbor_id, MessageKind.REPLICATE, size)
-            network.node(neighbor_id).add_row(row)
-            replicas.append(neighbor_id)
-            queue.append(neighbor_id)
+    replicas = _spread(network, row, (owner_id,))
     recorder = obs_trace.state.recorder
     if recorder.enabled:
         recorder.add(replica_hops=len(replicas))
@@ -67,29 +76,7 @@ def extend_replication(network, row: int, holder_ids) -> list[int]:
     — that is the saving over tombstone + re-insert. Returns the new
     replica node ids.
     """
-    store = network.level_store
-    key = store.key_of(row)
-    radius = store.radius_of(row)
-    fabric = network.fabric
-    size = vector_message_size(key.shape[0], scalars=2)
-    visited = set(holder_ids)
-    added: list[int] = []
-    queue = deque(visited)
-    while queue:
-        current_id = queue.popleft()
-        current = network.node(current_id)
-        for neighbor_id, zones in current.neighbors.items():
-            if neighbor_id in visited:
-                continue
-            if not any(
-                z.intersects_sphere(key, radius) for z in zones
-            ):
-                continue
-            visited.add(neighbor_id)
-            fabric.transmit(current_id, neighbor_id, MessageKind.REPLICATE, size)
-            network.node(neighbor_id).add_row(row)
-            added.append(neighbor_id)
-            queue.append(neighbor_id)
+    added = _spread(network, row, holder_ids)
     recorder = obs_trace.state.recorder
     if recorder.enabled and added:
         recorder.add(replica_hops=len(added))

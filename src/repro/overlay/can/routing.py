@@ -10,6 +10,10 @@ recover with perimeter/expanding-ring strategies; we use depth-first
 backtracking, which is guaranteed to reach the owner on the (connected)
 neighbour graph. Backtrack traversals are real messages and are counted
 as hops.
+
+Each walk starts with one vectorised pass over the overlay's zone table
+(:meth:`repro.overlay.can.table.ZoneTable.route_keys`); the hops then
+only read the per-node keys it returns.
 """
 
 from __future__ import annotations
@@ -18,18 +22,6 @@ import numpy as np
 
 from repro.exceptions import RoutingError
 from repro.obs import trace as obs_trace
-
-
-def _snapshot_distance(zones, point: np.ndarray) -> float:
-    """Min torus distance from a neighbour's zone-set snapshot to ``point``.
-
-    A zone that outright contains the point gets distance -1 so it always
-    sorts first (torus distance would report 0 for seam-touching zones
-    that do *not* contain it).
-    """
-    if any(zone.contains(point) for zone in zones):
-        return -1.0
-    return min(zone.torus_distance_to(point) for zone in zones)
 
 
 def route_to_owner(
@@ -41,7 +33,7 @@ def route_to_owner(
     ----------
     network:
         A :class:`repro.overlay.can.network.CANNetwork` (duck-typed: needs
-        ``node()`` and ``node_ids``).
+        ``node()``, ``node_ids`` and ``zone_table``).
     start_id:
         Node where the message originates.
     point:
@@ -61,6 +53,12 @@ def route_to_owner(
         ``path`` is the full message trajectory excluding the start node
         (backtracking steps included) — ``len(path)`` is the hop count.
     """
+    table = network.zone_table
+    # Per node: -1 when one of its zones contains the point (so the owner
+    # always sorts first — torus distance would report 0 for seam-touching
+    # zones that do *not* contain it), else its min torus distance.
+    keys = table.route_keys(point)
+    first = table.first_id
     visited = {start_id}
     stack = [start_id]
     path: list[int] = []
@@ -72,7 +70,7 @@ def route_to_owner(
                 f"routing exceeded {max_steps} steps towards {point!r}"
             )
         current = network.node(stack[-1])
-        if current.contains(point):
+        if keys[current.node_id - first] < 0.0:
             recorder = obs_trace.state.recorder
             if recorder.enabled:
                 recorder.add(
@@ -81,11 +79,11 @@ def route_to_owner(
             return current.node_id, path
         candidates = sorted(
             (
-                _snapshot_distance(zones, point),
+                keys[node_id - first],
                 penalty(node_id) if penalty is not None else 0.0,
                 node_id,
             )
-            for node_id, zones in current.neighbors.items()
+            for node_id in current.neighbors
             if node_id not in visited
         )
         if candidates:

@@ -27,6 +27,7 @@ from repro.overlay.can import (
     bulk_publish,
     grid_shape,
 )
+from tests.can_oracle import assert_zone_table_matches
 
 
 class TestGridShape:
@@ -71,6 +72,11 @@ class TestBuildGridCan:
         can, plan = build_grid_can(3, 32)
         assert len(can) == plan.n_cells
         assert can.total_zone_volume() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 1), (3, 32), (4, 16)])
+    def test_zone_table_matches_the_grid(self, dim, n):
+        can, __ = build_grid_can(dim, n, node_id_offset=500)
+        assert_zone_table_matches(can)
 
     def test_owner_nodes_matches_greedy_ownership(self):
         can, plan = build_grid_can(2, 16, rng=0)

@@ -5,6 +5,7 @@ sphere insertions, and range queries, checking after every step that the
 overlay's global invariants hold:
 
 * zones tile the key space exactly (volume 1, unique owner per point);
+* the zone table holds exactly the nodes' zones;
 * neighbour tables are symmetric and geometrically correct;
 * every inserted object remains retrievable by a range query;
 * routing reaches the true owner from any start node.
@@ -22,6 +23,7 @@ from hypothesis.stateful import (
 
 from repro.overlay.can import CANNetwork
 from repro.overlay.can.routing import route_to_owner
+from tests.can_oracle import assert_zone_table_matches
 
 coords = st.floats(min_value=0.0, max_value=1.0)
 
@@ -89,6 +91,10 @@ class CANMachine(RuleBasedStateMachine):
     @invariant()
     def zones_tile(self):
         assert abs(self.can.total_zone_volume() - 1.0) < 1e-9
+
+    @invariant()
+    def zone_table_matches_zones(self):
+        assert_zone_table_matches(self.can)
 
     @invariant()
     def unique_owner(self):

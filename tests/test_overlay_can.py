@@ -132,6 +132,19 @@ class TestInsertLookup:
         with pytest.raises(ValidationError):
             small_can.insert(small_can.node_ids[0], [1.5, 0.5], "x")
 
+    @pytest.mark.parametrize("key", [[1.5, 0.2], [0.3, -0.4]])
+    def test_queries_outside_cube_rejected(self, key):
+        # Used to walk the whole overlay and raise a misleading
+        # RoutingError / OverlayError instead of rejecting the key.
+        can = CANNetwork(2, rng=0)
+        ids = can.grow(8)
+        with pytest.raises(ValidationError, match="unit cube"):
+            can.lookup(ids[0], key)
+        with pytest.raises(ValidationError, match="unit cube"):
+            can.range_query(ids[0], key, 0.1)
+        with pytest.raises(ValidationError, match="unit cube"):
+            can.owner_of(key)
+
     def test_metrics_charged(self):
         can = CANNetwork(2, rng=9)
         can.grow(10)
