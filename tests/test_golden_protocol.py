@@ -8,7 +8,8 @@ fixed seed this records
   they report — all bit-identical;
 * seeded ``range_query`` / ``knn_query`` answers through
   :class:`repro.core.network.HyperMNetwork`: retrieved item sets exactly,
-  peer scores to 1e-9, and the query traffic they cost;
+  peer scores to 1e-9, each k-NN answer's per-level Eq. 8 radius
+  ``ε_l`` exactly, and the query traffic they cost;
 * the adapted arm of :func:`repro.evaluation.adaptation.run_adaptation`:
   JOIN / INSERT / REPLICATE / RANGE_QUERY hop and byte totals and the
   controller's decision counts bit-identical, zone-bytes Gini to 1e-12.
@@ -110,6 +111,10 @@ def observe_queries() -> dict:
         knn_answers.append({
             "items": sorted(result.item_ids),
             "top_k": sorted(result.top_k_ids()),
+            "epsilon_per_level": {
+                str(level): float(eps)
+                for level, eps in result.epsilon_per_level.items()
+            },
             "scores": _scores(result),
             "index_hops": result.index_hops,
         })
@@ -256,6 +261,9 @@ GOLDEN: dict = (
                             'index_hops': 18}],
                  'knn': [{'items': [16, 74, 84, 203, 242, 296, 354, 406, 408],
                           'top_k': [84, 203, 242, 406, 408],
+                          'epsilon_per_level': {'A': 0.006312961814470448,
+                                                'D0': 0.0007401696319822308,
+                                                'D1': 0.010663729711244315},
                           'scores': {0: 0.44764688155153864,
                                      1: 0.34301398300157115,
                                      2: 0.5914964583069757,
@@ -267,6 +275,9 @@ GOLDEN: dict = (
                           'index_hops': 29},
                          {'items': [18, 42, 100, 129, 162, 187, 225, 237, 305],
                           'top_k': [42, 129, 225, 237, 305],
+                          'epsilon_per_level': {'A': 0.004439120917028575,
+                                                'D0': 0.0007400882192942021,
+                                                'D1': 0.011468819937230928},
                           'scores': {0: 0.4475976440060626,
                                      1: 0.4691117251939918,
                                      2: 0.5777028796671119,
@@ -279,6 +290,9 @@ GOLDEN: dict = (
                           'index_hops': 20},
                          {'items': [58, 131, 184, 229, 245, 357, 460, 478],
                           'top_k': [131, 229, 245, 460, 478],
+                          'epsilon_per_level': {'A': 0.004610751205787932,
+                                                'D0': 0.0009535304260375233,
+                                                'D1': 0.07376723851933804},
                           'scores': {0: 0.4054445919908223,
                                      1: 0.47862099242374123,
                                      2: 0.09660227256158918,
@@ -289,6 +303,9 @@ GOLDEN: dict = (
                          {'items': [42, 100, 129, 144, 200, 237, 280, 305,
                                     395],
                           'top_k': [42, 100, 129, 237, 280],
+                          'epsilon_per_level': {'A': 0.004098630636427615,
+                                                'D0': 0.0007938902120050171,
+                                                'D1': 0.010363402945682994},
                           'scores': {0: 0.2683041394365884,
                                      1: 0.39078413761814124,
                                      2: 0.32714462612605066,
@@ -336,6 +353,7 @@ def _assert_answers(observed, golden):
     for got, want in zip(observed, golden):
         assert got["items"] == want["items"]
         assert got.get("top_k") == want.get("top_k")
+        assert got.get("epsilon_per_level") == want.get("epsilon_per_level")
         assert got["index_hops"] == want["index_hops"]
         assert set(got["scores"]) == {int(p) for p in want["scores"]}
         for peer, score in want["scores"].items():
