@@ -7,8 +7,8 @@ stream two ways (see :mod:`repro.evaluation.serving`):
 * **Sequential** — :func:`repro.core.queries.range_query` per request,
   one per-level BLAS pass each.
 * **Batched** — :class:`repro.serve.ServeEngine` coalescing the stream
-  into one stacked intersection GEMM per level per batch, with
-  generation-keyed candidate/translation caches. Two regimes: *hot*
+  into one stacked intersection GEMM per level per batch, with a
+  generation-keyed candidate cache. Two regimes: *hot*
   (warm engine, Zipf-skewed stream — the headline ``speedup``) and
   *cold* (fresh engine, distinct queries — ``cold_speedup``, pure
   batching with every cache missing).

@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from repro.clustering.spheres import ClusterSphere
 from repro.core.queries import (
+    _check_size,
     _default_origin,
     _query_keys,
     contact_peers,
@@ -46,52 +46,66 @@ from repro.utils.validation import check_vector
 _INITIAL_PROBE_FRACTION = 0.05
 
 
-def _spheres_from_entries(entries) -> list[ClusterSphere]:
-    return [
-        ClusterSphere(centroid=e.key, radius=e.radius, items=e.value.items)
-        for e in entries
-    ]
+def _spheres_from_entries(entries) -> tuple:
+    """Eq. 8 sphere columns ``(centroids, radii, items)`` of a candidate set."""
+    return entries.columns()[:3]
+
+
+def _overlay_probe(overlay, origin_node: int, key: np.ndarray):
+    """Probe form of one level's overlay range query (hops charged)."""
+
+    def probe(eps: float) -> tuple:
+        receipt = overlay.range_query(origin_node, key, eps)
+        return receipt.entries, receipt.total_hops
+
+    return probe
 
 
 def _discover_level(
-    overlay, origin_node: int, key: np.ndarray, k: float
-) -> tuple[float, list, int]:
-    """Expanding probes at one level; returns (epsilon, entries, hops).
+    probe, key: np.ndarray, k: float
+) -> tuple[float, object, int, int]:
+    """Expanding probes at one level: ``(ε, candidates, hops, probes)``.
 
-    Doubles the probe radius until the discovered cluster spheres are
-    expected (Eq. 8) to contain ``k`` items, then inverts Eq. 8 for the
-    final radius and issues the definitive range query.
+    ``probe(eps) -> (candidates, hops)`` resolves one radius: the overlay
+    walk on the sequential path (:func:`_overlay_probe`), a cached
+    store-direct lookup in the serving tier. Doubles the probe radius
+    until the discovered cluster spheres are expected (Eq. 8) to contain
+    ``k`` items, then inverts Eq. 8 for the final radius and issues the
+    definitive probe.
     """
     diagonal = math.sqrt(key.shape[0])
     eps = _INITIAL_PROBE_FRACTION * diagonal
     hops = 0
     probes = 0
-    entries: list = []
-    recorder = obs_trace.state.recorder
     while True:
-        receipt = overlay.range_query(origin_node, key, eps)
-        hops += receipt.total_hops
+        candidates, probe_hops = probe(eps)
+        hops += probe_hops
         probes += 1
-        entries = receipt.entries
-        spheres = _spheres_from_entries(entries)
-        if spheres and expected_items(eps, spheres, key) >= k:
+        if len(candidates) and expected_items(
+            eps, *_spheres_from_entries(candidates), key
+        ) >= k:
             break
         if eps >= diagonal:
             break
         eps = min(2.0 * eps, diagonal)
-    spheres = _spheres_from_entries(entries)
-    if not spheres:
-        recorder.annotate(probes=probes)
-        return eps, entries, hops
-    eps_star = estimate_epsilon_for_k(k, spheres, key)
+    if not len(candidates):
+        return eps, candidates, hops, probes
+    eps_star = estimate_epsilon_for_k(
+        k, *_spheres_from_entries(candidates), key
+    )
     if eps_star < eps:
-        receipt = overlay.range_query(origin_node, key, eps_star)
-        hops += receipt.total_hops
-        probes += 1
-        recorder.annotate(probes=probes)
-        return eps_star, receipt.entries, hops
-    recorder.annotate(probes=probes)
-    return eps, entries, hops
+        candidates, probe_hops = probe(eps_star)
+        return eps_star, candidates, hops + probe_hops, probes + 1
+    return eps, candidates, hops, probes
+
+
+def _check_knn_args(k, c: float, top_p) -> None:
+    """Reject a bad ``k``, ``C`` or ``top_p`` (sequential and served)."""
+    _check_size(k, "k", minimum=1)
+    if top_p is not None:
+        _check_size(top_p, "top_p")
+    if c <= 0:
+        raise QueryError(f"C must be > 0, got {c}")
 
 
 def _peers_to_contact(
@@ -151,10 +165,7 @@ def knn_query(
         wider peer contacts; see :func:`refine_to_exact`.
     """
     query = check_vector(query, "query", dim=network.dimensionality)
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    if c <= 0:
-        raise QueryError(f"C must be > 0, got {c}")
+    _check_knn_args(k, c, top_p)
     origin = _default_origin(network) if origin_peer is None else origin_peer
     if origin not in network.peers:
         raise QueryError(f"unknown origin peer {origin}")
@@ -168,18 +179,21 @@ def knn_query(
         "query", type="knn", origin=origin
     ):
         with recorder.span("translate", levels=len(network.levels)):
-            keys = _query_keys(network, query)
+            keys = _query_keys(network.levels, query)
         per_level: dict = {}
         epsilon_per_level: dict = {}
         index_hops = 0
         for level in network.levels:
-            overlay = network.overlays[level]
-            origin_node = network.overlay_node(level, origin)
+            probe = _overlay_probe(
+                network.overlays[level],
+                network.overlay_node(level, origin),
+                keys[level],
+            )
             with recorder.span(
                 f"sphere_filter[{level}]", level=str(level)
             ) as span:
-                eps_l, entries, hops = _discover_level(
-                    overlay, origin_node, keys[level], float(k)
+                eps_l, entries, hops, probes = _discover_level(
+                    probe, keys[level], float(k)
                 )
                 index_hops += hops
                 epsilon_per_level[level] = eps_l
@@ -194,6 +208,7 @@ def knn_query(
                     surviving=stats["surviving"],
                     peers=len(per_level[level]),
                     hops=hops,
+                    probes=probes,
                 )
 
         policy = aggregation or network.config.aggregation

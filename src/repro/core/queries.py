@@ -15,6 +15,7 @@ A range query runs in two phases:
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -58,15 +59,38 @@ def _translate_query_cached(levels: tuple, query_bytes: bytes) -> tuple:
     return tuple(keys)
 
 
-def _query_keys(network, query: np.ndarray) -> dict:
-    """Translate ``query`` into each published level's key space.
+def _query_keys(levels, query: np.ndarray) -> dict:
+    """Translate ``query`` into each of ``levels``' key spaces.
 
-    Shared by the range and k-NN paths (and by the k-NN exact refinement's
-    repeated range queries) through a per-query LRU cache.
+    The one query translation: the range and k-NN paths (and the k-NN
+    exact refinement's repeated range queries), the serving tier and
+    ``scale-bench`` all share it through a per-query LRU cache.
     """
     query = np.ascontiguousarray(query, dtype=np.float64)
-    levels = tuple(network.levels)
+    levels = tuple(levels)
     return dict(zip(levels, _translate_query_cached(levels, query.tobytes())))
+
+
+def level_radii(dimensionality: int, levels, epsilon: float) -> dict:
+    """Per-level key-space radii of one query radius (Theorem 3.1)."""
+    return {
+        level: key_space_radius(
+            epsilon * radius_scale(dimensionality, level), level
+        )
+        for level in levels
+    }
+
+
+def _check_size(value, name: str, *, minimum: int = 0) -> None:
+    """Reject a query size that is not an integer ``>= minimum``.
+
+    Sizes are ``k``, ``top_p`` and ``max_peers``; a negative bound would
+    otherwise slice the last ranked peer off instead of failing.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise QueryError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise QueryError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _default_origin(network) -> int:
@@ -122,7 +146,8 @@ def index_phase(
     recorder = obs_trace.state.recorder
     injector = getattr(network.fabric, "faults", None)
     with recorder.span("translate", levels=len(network.levels)):
-        keys = _query_keys(network, query)
+        keys = _query_keys(network.levels, query)
+    radii = level_radii(network.dimensionality, network.levels, epsilon)
     per_level: dict = {}
     hops = 0
     levels_answered = 0
@@ -130,8 +155,7 @@ def index_phase(
     for level in network.levels:
         overlay = network.overlays[level]
         origin_node = network.overlay_node(level, origin_peer)
-        scaled = epsilon * radius_scale(network.dimensionality, level)
-        radius = key_space_radius(scaled, level)
+        radius = radii[level]
         with recorder.span(
             f"sphere_filter[{level}]", level=str(level)
         ) as span:
@@ -458,6 +482,8 @@ def range_query(
     """
     query = check_vector(query, "query", dim=network.dimensionality)
     check_positive(epsilon, "epsilon", strict=False)
+    if max_peers is not None:
+        _check_size(max_peers, "max_peers")
     origin = _default_origin(network) if origin_peer is None else origin_peer
     if origin not in network.peers:
         raise QueryError(f"unknown origin peer {origin}")

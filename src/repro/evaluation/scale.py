@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.queries import _query_keys, level_radii
 from repro.core.scoring import aggregate_scores, level_scores
 from repro.exceptions import ValidationError
 from repro.net.network import Network
 from repro.obs import registry as obs_registry
 from repro.obs.rss import rss_snapshot
 from repro.overlay.can import CANNetwork, build_grid_can, bulk_publish
+from repro.serve.batch import fresh_candidates
 from repro.utils.rng import ensure_rng
-from repro.wavelets.bounds import key_space_radius, radius_scale, to_unit_cube
-from repro.wavelets.multiresolution import decompose, publication_levels
+from repro.wavelets.multiresolution import publication_levels
 
 
 def _clock():
@@ -94,37 +95,13 @@ def _build_and_publish(levels, n_peers, peer_ids, batches, *, fabric, rng):
     return overlays, plans, build_s, publish_s
 
 
-def _translate_queries(queries, levels):
-    """Map each d-dim query into every level's key space (one DWT each)."""
-    per_query = []
-    for query in queries:
-        decomposition = decompose(query)
-        per_query.append({
-            level: np.clip(to_unit_cube(decomposition[level], level), 0.0, 1.0)
-            for level in levels
-        })
-    return per_query
-
-
-def _level_radii(dimensionality, levels, epsilon):
-    return {
-        level: key_space_radius(
-            epsilon * radius_scale(dimensionality, level), level
-        )
-        for level in levels
-    }
-
-
 def _query(stores, levels, keys_by_level, radii):
     """One index-phase query over the level stores; returns peer scores."""
     per_level = {}
     for level in levels:
-        store = stores[level]
-        mask = store.intersection_mask(keys_by_level[level], radii[level])
-        candidates = store.candidate_set(np.flatnonzero(mask))
-        per_level[level] = level_scores(
-            candidates, keys_by_level[level], radii[level]
-        )
+        key, radius = keys_by_level[level], radii[level]
+        candidates = fresh_candidates(stores[level], key, radius)
+        per_level[level] = level_scores(candidates, key, radius)
     return aggregate_scores(per_level, policy="min")
 
 
@@ -194,8 +171,8 @@ def run_scale_bench(
     stores = {level: overlays[level].level_store for level in levels}
 
     queries = rng.random((n_queries, dimensionality))
-    translated = _translate_queries(queries, levels)
-    radii = _level_radii(dimensionality, levels, epsilon)
+    translated = [_query_keys(levels, query) for query in queries]
+    radii = level_radii(dimensionality, levels, epsilon)
 
     start = clock()
     peers_ranked = 0

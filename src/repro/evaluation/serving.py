@@ -8,7 +8,7 @@ Three arms over one published Markov-corpus network:
 * **Batched** — the same request stream through
   :meth:`repro.serve.ServeEngine.execute_batch` in fixed-size batches:
   one stacked intersection GEMM per level per batch, generation-keyed
-  candidate/translation caches, query-log mining. Measured twice: a
+  candidate cache, query-log mining. Measured twice: a
   *steady-state* arm (warm engine on a Zipf-skewed hot stream — the
   serving tier as deployed) and a *cold* arm (fresh engine, distinct
   queries — pure batching with every cache missing).
@@ -225,7 +225,6 @@ def run_serve_bench(
             "served": snapshot["served"],
             "prewarmed": snapshot["prewarmed"],
             "candidate_cache": snapshot["candidate_cache"],
-            "translation_cache": snapshot["translation_cache"],
         },
         "hot_regions": snapshot.get("miner", {}).get("hot_regions", []),
     }

@@ -18,24 +18,28 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.clustering.spheres import ClusterSphere
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.geometry.batch import intersection_fraction_batch
 from repro.utils.validation import check_positive, check_vector
 
 
 def _sphere_arrays(
-    spheres: list[ClusterSphere], query_center: np.ndarray
+    centroids: np.ndarray,
+    radii: np.ndarray,
+    items: np.ndarray,
+    query_center: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack spheres into (radii, items, centre-distance) arrays."""
-    n = len(spheres)
-    centroids = np.empty((n, query_center.shape[0]), dtype=np.float64)
-    radii = np.empty(n, dtype=np.float64)
-    items = np.empty(n, dtype=np.float64)
-    for i, sphere in enumerate(spheres):
-        centroids[i] = sphere.centroid
-        radii[i] = sphere.radius
-        items[i] = sphere.items
+    """Check sphere columns; return (radii, items, centre-distance) arrays."""
+    centroids = np.asarray(centroids, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+    items = np.asarray(items, dtype=np.float64)
+    n = radii.shape[0] if radii.ndim == 1 else -1
+    if centroids.shape != (n, query_center.shape[0]) or items.shape != (n,):
+        raise ValidationError(
+            f"sphere columns must be (n, {query_center.shape[0]}) centroids "
+            f"with (n,) radii and items; got {centroids.shape}, "
+            f"{radii.shape} and {items.shape}"
+        )
     diff = centroids - query_center
     dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return radii, items, dists
@@ -43,7 +47,9 @@ def _sphere_arrays(
 
 def expected_items(
     epsilon: float,
-    spheres: list[ClusterSphere],
+    centroids: np.ndarray,
+    radii: np.ndarray,
+    items: np.ndarray,
     query_center: np.ndarray,
     *,
     d: int | None = None,
@@ -59,8 +65,10 @@ def expected_items(
     ----------
     epsilon:
         Query radius.
-    spheres:
-        Reachable cluster spheres (all in the same subspace).
+    centroids / radii / items:
+        The reachable cluster spheres as columns — ``(n, d)`` centres,
+        ``(n,)`` radii and ``(n,)`` item counts, all in one subspace (the
+        first three of :meth:`repro.index.CandidateSet.columns`).
     query_center:
         Query point in that subspace.
     d:
@@ -69,17 +77,19 @@ def expected_items(
     """
     check_positive(epsilon, "epsilon", strict=False)
     query_center = check_vector(query_center, "query_center")
-    if not spheres:
+    radii, items, dists = _sphere_arrays(centroids, radii, items, query_center)
+    if not radii.size:
         return 0.0
     dim = d if d is not None else query_center.shape[0]
-    radii, items, dists = _sphere_arrays(spheres, query_center)
     fractions = intersection_fraction_batch(radii, epsilon, dists, dim)
     return float(fractions @ items)
 
 
 def estimate_epsilon_for_k(
     k: float,
-    spheres: list[ClusterSphere],
+    centroids: np.ndarray,
+    radii: np.ndarray,
+    items: np.ndarray,
     query_center: np.ndarray,
     *,
     d: int | None = None,
@@ -96,6 +106,8 @@ def estimate_epsilon_for_k(
 
     Parameters
     ----------
+    centroids / radii / items:
+        Sphere columns, as for :func:`expected_items`.
     method:
         ``"brentq"`` (default, bracketed, always converges on monotone
         input) or ``"newton"`` (the paper's named method, with bisection
@@ -104,10 +116,10 @@ def estimate_epsilon_for_k(
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     query_center = check_vector(query_center, "query_center")
-    if not spheres or k == 0:
+    radii, items, dists = _sphere_arrays(centroids, radii, items, query_center)
+    if not radii.size or k == 0:
         return 0.0
     dim = d if d is not None else query_center.shape[0]
-    radii, items, dists = _sphere_arrays(spheres, query_center)
     total_items = float(items.sum())
     eps_max = float((dists + radii).max())
     if k >= total_items:

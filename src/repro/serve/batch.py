@@ -25,16 +25,6 @@ import numpy as np
 
 from repro.index import CandidateSet
 from repro.serve.cache import CandidateCache, candidate_key
-from repro.wavelets.bounds import key_space_radius, radius_scale
-
-
-def level_radii(network, epsilon: float) -> list[float]:
-    """Per-level key-space radii for one query radius (Theorem 3.1)."""
-    d = network.dimensionality
-    return [
-        key_space_radius(epsilon * radius_scale(d, level), level)
-        for level in network.levels
-    ]
 
 
 def fresh_candidates(store, key: np.ndarray, radius: float) -> CandidateSet:

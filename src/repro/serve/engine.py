@@ -11,9 +11,11 @@
   requests inside a ``batch_window`` and executes them as one batch:
   one stacked intersection GEMM per level (:mod:`repro.serve.batch`),
   de-multiplexed into per-query Eq. 1 scores.
-* **Caching** — per-query key translations and hot candidate sets,
-  generation-keyed so publishes / deltas / rebalances invalidate exactly
-  the mutated level (:mod:`repro.serve.cache`).
+* **Caching** — hot candidate sets, generation-keyed so publishes /
+  deltas / rebalances invalidate exactly the mutated level
+  (:mod:`repro.serve.cache`). Query translation, Theorem 3.1 radii and
+  the k-NN discovery loop are the sequential path's own
+  (:mod:`repro.core.queries`, :mod:`repro.core.knn`).
 * **Mining + pre-warming** — the served log feeds a
   :class:`repro.serve.mining.QueryLogMiner`; after any store mutation
   the hottest lookups are recomputed in one stacked pass before the next
@@ -40,10 +42,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.knn import _peers_to_contact, _spheres_from_entries
+from repro.core.knn import (
+    _check_knn_args,
+    _discover_level,
+    _peers_to_contact,
+)
 from repro.core.queries import (
+    _check_size,
     _default_origin,
+    _query_keys,
     contact_peers,
+    level_radii,
     retrieval_phase,
     send_response,
 )
@@ -59,19 +68,17 @@ from repro.core.scoring import (
     rank_peers,
 )
 from repro.exceptions import QueryError, ServeError, ValidationError
-from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
+# Not called here: perfbench/tracer.py patches these names on this module.
+from repro.core.knn import _spheres_from_entries  # noqa: F401
+from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items  # noqa: F401
 from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
-from repro.serve.batch import batched_candidates, fresh_candidates, level_radii
-from repro.serve.cache import CandidateCache, TranslationCache, candidate_key
+from repro.serve.batch import batched_candidates, fresh_candidates
+from repro.serve.cache import CandidateCache, candidate_key
 from repro.serve.mining import QueryLogMiner
 from repro.utils.validation import check_positive, check_vector
 from repro.wavelets.bounds import coefficient_interval, radius_scale
-
-#: First k-NN probe radius as a fraction of the key-space diagonal
-#: (mirrors :data:`repro.core.knn._INITIAL_PROBE_FRACTION`).
-_INITIAL_PROBE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,6 @@ class ServeConfig:
     batch_window: float = 0.002
     #: Candidate-cache entries (per engine, across levels).
     cache_candidates: int = 256
-    #: Translation-cache entries.
-    cache_translations: int = 512
     #: Mine the query log and pre-warm invalidated hot lookups.
     mine_queries: bool = True
     #: Hot lookups re-primed per pre-warm sweep.
@@ -187,7 +192,6 @@ class ServeEngine:
     def __init__(self, network, config: ServeConfig | None = None):
         self.network = network
         self.config = config or ServeConfig()
-        self.translations = TranslationCache(self.config.cache_translations)
         self.candidates = CandidateCache(self.config.cache_candidates)
         self.miner = (
             QueryLogMiner(grid=self.config.mining_grid)
@@ -281,16 +285,18 @@ class ServeEngine:
                 request.query, "query", dim=self.network.dimensionality
             )
             check_positive(request.epsilon, "epsilon", strict=False)
-            keys = self.translations.translate(self.network, query)
-            radii = level_radii(self.network, request.epsilon)
-            plan = {
-                level: (keys[level], radii[index])
-                for index, level in enumerate(self.network.levels)
-            }
+            if request.max_peers is not None:
+                _check_size(request.max_peers, "max_peers")
+            levels = self.network.levels
+            keys = _query_keys(levels, query)
+            radii = level_radii(
+                self.network.dimensionality, levels, request.epsilon
+            )
+            plan = {level: (keys[level], radii[level]) for level in levels}
             if self.miner is not None:
-                for index, level in enumerate(self.network.levels):
+                for index, level in enumerate(levels):
                     self.miner.observe(
-                        str(level), index, keys[level], radii[index]
+                        str(level), index, keys[level], radii[level]
                     )
             plans.append(plan)
         return plans
@@ -333,37 +339,24 @@ class ServeEngine:
 
     # -- k-NN with early termination ----------------------------------------
 
-    def _level_candidates(self, level_index: int, level, key, radius: float):
-        """One cached store-direct candidate lookup (heat-bumped)."""
-        store = self.network.overlays[level].level_store
-        ck = candidate_key(level_index, key, radius)
-        candidates = self.candidates.lookup(ck)
-        if candidates is None:
-            candidates = fresh_candidates(store, key, radius)
-            self.candidates.store(ck, candidates)
-        store.bump_heat(candidates.rows)
-        return candidates
+    def _store_probe(self, level_index: int, level, key):
+        """Probe form of one level's cached store-direct lookup.
 
-    def _discover_level(self, level_index: int, level, key, k: float):
-        """Expanding cached probes; mirrors ``core.knn._discover_level``."""
-        diagonal = math.sqrt(key.shape[0])
-        eps = _INITIAL_PROBE_FRACTION * diagonal
-        while True:
-            candidates = self._level_candidates(level_index, level, key, eps)
-            spheres = _spheres_from_entries(candidates)
-            if spheres and expected_items(eps, spheres, key) >= k:
-                break
-            if eps >= diagonal:
-                break
-            eps = min(2.0 * eps, diagonal)
-        if not spheres:
-            return eps, candidates
-        eps_star = estimate_epsilon_for_k(k, spheres, key)
-        if eps_star < eps:
-            return eps_star, self._level_candidates(
-                level_index, level, key, eps_star
-            )
-        return eps, candidates
+        Each lookup is heat-bumped; no hops are charged (the engine
+        co-locates the index).
+        """
+        store = self.network.overlays[level].level_store
+
+        def probe(radius: float) -> tuple:
+            ck = candidate_key(level_index, key, radius)
+            candidates = self.candidates.lookup(ck)
+            if candidates is None:
+                candidates = fresh_candidates(store, key, radius)
+                self.candidates.store(ck, candidates)
+            store.bump_heat(candidates.rows)
+            return candidates, 0
+
+        return probe
 
     def _peer_lower_bounds(
         self, keys: dict, discovered: dict, epsilon_per_level: dict
@@ -422,17 +415,16 @@ class ServeEngine:
             request.query, "query", dim=self.network.dimensionality
         )
         k, c = request.k, request.c
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if c <= 0:
-            raise QueryError(f"C must be > 0, got {c}")
-        keys = self.translations.translate(self.network, query)
+        _check_knn_args(k, c, request.top_p)
+        keys = _query_keys(self.network.levels, query)
         per_level: dict = {}
         epsilon_per_level: dict = {}
         discovered: dict = {}
         for level_index, level in enumerate(self.network.levels):
-            eps_l, candidates = self._discover_level(
-                level_index, level, keys[level], float(k)
+            eps_l, candidates, __, ___ = _discover_level(
+                self._store_probe(level_index, level, keys[level]),
+                keys[level],
+                float(k),
             )
             epsilon_per_level[level] = eps_l
             discovered[level] = candidates
@@ -683,7 +675,6 @@ class ServeEngine:
             "knn_peers_skipped": counters.knn_peers_skipped,
             "waiting": self._waiting,
             "candidate_cache": self.candidates.snapshot(),
-            "translation_cache": self.translations.snapshot(),
         }
         if self.miner is not None:
             summary["miner"] = self.miner.snapshot()

@@ -71,6 +71,23 @@ class TestKnnQueries:
                 tiny_histogram_workload.ground_truth.data[0], 0
             )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": 2.5},
+            {"k": 2.5, "exact": True},
+            {"k": 5, "top_p": -1},
+            {"k": 5, "top_p": 1.5},
+        ],
+    )
+    def test_bad_sizes_rejected(self, tiny_histogram_workload, kwargs):
+        # ``top_p=-1`` used to drop the last ranked peer, and ``k=2.5``
+        # with ``exact=True`` died inside the refinement's list indexing.
+        with pytest.raises(QueryError):
+            tiny_histogram_workload.network.knn_query(
+                tiny_histogram_workload.ground_truth.data[0], **kwargs
+            )
+
     def test_invalid_c(self, tiny_histogram_workload):
         with pytest.raises(QueryError):
             tiny_histogram_workload.network.knn_query(

@@ -70,6 +70,15 @@ class TestRangeQueries:
         for peer_id in result.peers_contacted:
             assert peer_id in result.peer_scores
 
+    @pytest.mark.parametrize("max_peers", [-1, 1.5, True])
+    def test_bad_max_peers_rejected(self, tiny_histogram_workload, max_peers):
+        # A negative bound used to slice off the last ranked peer.
+        wl = tiny_histogram_workload
+        with pytest.raises(QueryError):
+            wl.network.range_query(
+                wl.ground_truth.data[0], 0.2, max_peers=max_peers
+            )
+
     def test_unknown_origin_rejected(self, tiny_histogram_workload):
         wl = tiny_histogram_workload
         with pytest.raises(QueryError):

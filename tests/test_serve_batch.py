@@ -17,11 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.network import HyperMConfig
+from repro.core.queries import _query_keys, level_radii
 from repro.core.results import ClusterRecord
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import ValidationError
 from repro.index import LevelStore
-from repro.serve.batch import batched_candidates, fresh_candidates, level_radii
+from repro.serve.batch import batched_candidates, fresh_candidates
 from repro.serve.cache import CandidateCache
 from repro.wavelets.bounds import key_space_radius, radius_scale
 
@@ -129,15 +130,12 @@ def served_workload():
 
 
 def _plans(network, queries, epsilon):
-    from repro.core.queries import _query_keys
-
+    radii = level_radii(network.dimensionality, network.levels, epsilon)
     plans = []
     for query in queries:
-        keys = _query_keys(network, query)
-        radii = level_radii(network, epsilon)
+        keys = _query_keys(network.levels, query)
         plans.append({
-            level: (keys[level], radii[index])
-            for index, level in enumerate(network.levels)
+            level: (keys[level], radii[level]) for level in network.levels
         })
     return plans
 
@@ -146,10 +144,11 @@ class TestBatchedCandidates:
     def test_level_radii_matches_theorem_31_scaling(self, served_workload):
         network = served_workload.network
         d = network.dimensionality
-        radii = level_radii(network, 0.3)
-        for index, level in enumerate(network.levels):
+        radii = level_radii(d, network.levels, 0.3)
+        assert list(radii) == list(network.levels)
+        for level in network.levels:
             expected = key_space_radius(0.3 * radius_scale(d, level), level)
-            assert radii[index] == expected
+            assert radii[level] == expected
 
     def test_equals_fresh_candidates_per_plan(self, served_workload):
         network = served_workload.network
