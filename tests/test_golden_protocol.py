@@ -9,7 +9,9 @@ fixed seed this records
 * seeded ``range_query`` / ``knn_query`` answers through
   :class:`repro.core.network.HyperMNetwork`: retrieved item sets exactly,
   peer scores to 1e-9, each k-NN answer's per-level Eq. 8 radius
-  ``ε_l`` exactly, and the query traffic they cost;
+  ``ε_l`` exactly, and the query traffic they cost — index
+  (RANGE_QUERY) and direct retrieval (RETRIEVE requests, DATA
+  responses) hops and bytes bit-identical;
 * the adapted arm of :func:`repro.evaluation.adaptation.run_adaptation`:
   JOIN / INSERT / REPLICATE / RANGE_QUERY hop and byte totals and the
   controller's decision counts bit-identical, zone-bytes Gini to 1e-12.
@@ -32,6 +34,9 @@ from repro.net.messages import MessageKind
 
 SEED = 0
 KINDS = (MessageKind.INSERT, MessageKind.REPLICATE, MessageKind.RANGE_QUERY)
+#: Direct-retrieval traffic: one RETRIEVE request per contacted peer and
+#: one DATA response sized by the items it returns.
+QUERY_KINDS = (*KINDS, MessageKind.RETRIEVE, MessageKind.DATA)
 
 
 def _traffic(fabric, kinds=KINDS) -> dict:
@@ -121,7 +126,7 @@ def observe_queries() -> dict:
     return {
         "range": range_answers,
         "knn": knn_answers,
-        "traffic": _traffic(network.fabric),
+        "traffic": _traffic(network.fabric, QUERY_KINDS),
     }
 
 
@@ -317,7 +322,9 @@ GOLDEN: dict = (
                           'index_hops': 29}],
                  'traffic': {'insert': [379, 21840],
                              'replicate': [249, 14640],
-                             'range_query': [154, 7656]}},
+                             'range_query': [154, 7656],
+                             'retrieve': [56, 17024],
+                             'data': [56, 14576]}},
      'adaptation': {'traffic': {'join': [78, 3144],
                                 'insert': [830, 47752],
                                 'replicate': [608, 37856],
