@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.clustering.incremental import (
@@ -13,6 +15,76 @@ from repro.clustering.summaries import PeerSummary, summarize_peer_data
 from repro.core.results import RetrievedItem, distances_to_query
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_matrix, check_unit_cube, check_vector
+
+
+#: Blocks of the retrieval signature (fewer when ``d`` has fewer).
+SIGNATURE_BLOCKS = 8
+
+
+def haar_signature(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal Haar approximation of each row over ``gcd(d, 8)`` blocks.
+
+    Block means scaled by ``sqrt(d / blocks)``: the coefficients of the
+    orthogonal projection onto block-constant vectors. By the contraction
+    Theorem 3.1 states, the distance between two signatures never exceeds
+    the distance between the vectors they summarise.
+    """
+    d = rows.shape[-1]
+    blocks = math.gcd(d, SIGNATURE_BLOCKS)
+    width = d // blocks
+    grouped = rows.reshape(*rows.shape[:-1], blocks, width)
+    return grouped.mean(axis=-1) * math.sqrt(width)
+
+
+def range_search_peers(
+    peers, query: np.ndarray, epsilon: float
+) -> dict[int, list[RetrievedItem]]:
+    """Exact range search over every given peer's items, in one bound pass.
+
+    Returns ``{peer_id: [RetrievedItem]}`` for each peer, its items in
+    row order. The query is validated once; one lower bound per item
+    comes from the peers' cached :func:`haar_signature` rows, stacked.
+    Only items whose bound is within ``epsilon`` (plus a rounding slack
+    relative to the magnitudes involved) get the exact test, the same
+    ``distances_to_query(...) <= epsilon + 1e-12`` a full scan applies,
+    so items, distances and order match a full scan bit for bit.
+    """
+    peers = list(peers)
+    found: dict[int, list[RetrievedItem]] = {
+        peer.peer_id: [] for peer in peers
+    }
+    if not peers:
+        return found
+    query = check_vector(query, "query", dim=peers[0].dimensionality)
+    signatures = [peer.signature for peer in peers]
+    sizes = np.array([block.shape[0] for block in signatures])
+    ends = np.cumsum(sizes)
+    bound = np.concatenate(signatures) - haar_signature(query)
+    bound_sq = np.einsum("ij,ij->i", bound, bound)
+    scale = 1.0 + abs(epsilon) + float(np.abs(query).max())
+    limit = max(epsilon + 1e-9 * scale, 0.0)
+    candidates = np.flatnonzero(bound_sq <= limit * limit)
+    if not candidates.size:
+        return found
+    # Candidates ascend, so each peer's are one slice of them.
+    stops = np.searchsorted(candidates, ends)
+    firsts = np.r_[0, stops[:-1]]
+    for owner in np.flatnonzero(stops > firsts):
+        peer = peers[owner]
+        rows = candidates[firsts[owner]:stops[owner]] - (
+            ends[owner] - sizes[owner]
+        )
+        dists = distances_to_query(peer.data[rows], query)
+        hits = np.flatnonzero(dists <= epsilon + 1e-12)
+        found[peer.peer_id] = [
+            RetrievedItem(
+                item_id=int(peer.item_ids[rows[i]]),
+                peer_id=peer.peer_id,
+                distance=float(dists[i]),
+            )
+            for i in hits
+        ]
+    return found
 
 
 class HyperMPeer:
@@ -69,6 +141,23 @@ class HyperMPeer:
             f"HyperMPeer(id={self.peer_id}, items={self.n_items}, "
             f"published={published}, {state})"
         )
+
+    @property
+    def data(self) -> np.ndarray:
+        """The ``(n, d)`` item matrix; assigning it drops the signature."""
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self._signature = None
+
+    @property
+    def signature(self) -> np.ndarray:
+        """:func:`haar_signature` of :attr:`data`, built on first use."""
+        if self._signature is None:
+            self._signature = haar_signature(self._data)
+        return self._signature
 
     # -- summaries -----------------------------------------------------------
 
@@ -252,19 +341,9 @@ class HyperMPeer:
 
         This is the second query phase: once a peer is contacted directly,
         it filters with the original query, which is why Hyper-M's range
-        precision is 100%.
+        precision is 100%. The one-peer case of :func:`range_search_peers`.
         """
-        query = check_vector(query, "query", dim=self.dimensionality)
-        dists = distances_to_query(self.data, query)
-        hits = np.flatnonzero(dists <= radius + 1e-12)
-        return [
-            RetrievedItem(
-                item_id=int(self.item_ids[i]),
-                peer_id=self.peer_id,
-                distance=float(dists[i]),
-            )
-            for i in hits
-        ]
+        return range_search_peers([self], query, radius)[self.peer_id]
 
     def nearest_items(self, query: np.ndarray, count: int) -> list[RetrievedItem]:
         """The peer's ``count`` closest items to ``query`` (Figure 5 step 9)."""

@@ -19,6 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
+from repro.core.peer import range_search_peers
 from repro.core.results import RangeQueryResult, sort_items_by_distance
 from repro.core.scoring import (
     aggregate_scores,
@@ -429,8 +430,11 @@ def retrieval_phase(
             network, ranked, origin_peer=origin_peer, max_peers=max_peers
         )
         attempted = len(contacted) + len(failed)
+        found_by_peer = range_search_peers(
+            [network.peers[peer_id] for peer_id in contacted], query, epsilon
+        )
         for peer_id in contacted:
-            found = network.peers[peer_id].range_search(query, epsilon)
+            found = found_by_peer[peer_id]
             delivered, response_messages = send_response(
                 network, origin_peer, peer_id, len(found), items=found
             )
