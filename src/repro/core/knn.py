@@ -296,7 +296,8 @@ def refine_to_exact(
 
     Exactness holds while every item's holder is reachable; under churn
     the refinement degrades gracefully to best-effort (the radius-doubling
-    loop is bounded).
+    loop stops once the radius reaches the unit-cube diagonal
+    ``sqrt(d)``, which covers every item).
     """
     from repro.core.queries import range_query as run_range_query
 
@@ -314,10 +315,14 @@ def refine_to_exact(
         network, query, radius, origin_peer=origin_peer,
         aggregation=aggregation,
     )
-    guard = 40
-    while len(refined.items) < min(k, network.total_items) and guard:
-        guard -= 1
-        radius *= 2.0
+    # Items live in the unit cube: past its diagonal a wider radius can
+    # reach nothing more, however few items the reachable peers hold.
+    diagonal = math.sqrt(network.dimensionality)
+    while (
+        len(refined.items) < min(k, network.total_items)
+        and radius < diagonal
+    ):
+        radius = min(2.0 * radius, diagonal)
         refined = run_range_query(
             network, query, radius, origin_peer=origin_peer,
             aggregation=aggregation,

@@ -69,3 +69,24 @@ class TestExactKnn:
         network, rng = build(seed=5, n_peers=2, items=5)
         result = network.knn_query(rng.random(16), 50, exact=True)
         assert len(result.items) == 10  # everything there is
+
+    def test_refinement_stops_at_cube_diagonal(self, monkeypatch):
+        # 2 of 6 peers departed leave 20 reachable items for k=25: the
+        # radius doubles only until it reaches sqrt(d), then gives up.
+        from repro.core import queries
+
+        network, rng = build(seed=4, items=5)
+        network.depart(2)
+        network.depart(3)
+        radii = []
+        original = queries.range_query
+
+        def counting(network, query, epsilon, **kwargs):
+            radii.append(epsilon)
+            return original(network, query, epsilon, **kwargs)
+
+        monkeypatch.setattr(queries, "range_query", counting)
+        result = network.knn_query(rng.random(16), 25, exact=True)
+        assert len(result.items) == 20
+        assert len(radii) == 3
+        assert max(radii) == 4.0
